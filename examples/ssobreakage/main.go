@@ -45,7 +45,6 @@ if (tok != null) { set_cookie("session_ok", "1", {"max_age": 3600}); }`)
 		var g *guard.Guard
 		if pol != nil {
 			g = guard.New(*pol)
-			defer g.Close()
 			mw = append(mw, g.Middleware())
 		}
 		b, err := browser.New(browser.Options{Internet: in, CookieMiddleware: mw})

@@ -5,11 +5,15 @@
 // (§6.2, Figure 4):
 //
 //   - Background — the metadata store mapping each first-party cookie to
-//     the eTLD+1 of its creator, updated on every creation event from
-//     both JavaScript APIs and HTTP Set-Cookie headers, served over a
-//     message channel;
+//     the eTLD+1 of its creator (first creator wins), updated on every
+//     creation event from both JavaScript APIs and HTTP Set-Cookie
+//     headers. It is a map inside Guard, read and written in place under
+//     the Guard's lock;
 //   - ContentRelay — the messaging hop between page world and background
-//     (contentScript.js), crossed once per cookie operation;
+//     (contentScript.js), crossed once per cookie operation. Its cost is
+//     modelled only in virtual time: each operation charges
+//     Policy.PerOpOverheadMS to the browser clock, and no real message
+//     is sent;
 //   - PageWrapper — the wrapped document.cookie / cookieStore surface
 //     (cookieGuard.js), installed as browser.CookieMiddleware.
 //
@@ -101,22 +105,22 @@ type BlockEvent struct {
 // the extension's per-tab state).
 type Guard struct {
 	policy Policy
+	clock  *vclock.Clock
 
-	bg    *background
-	clock *vclock.Clock
-
-	mu     sync.Mutex
-	blocks []BlockEvent
+	mu sync.Mutex
+	// creators is the Background dataset: cookie name → creator eTLD+1.
+	creators map[string]string
+	blocks   []BlockEvent
+	// document.cookie filter buffers, reused across reads.
+	names  []string
+	values map[string]string
+	buf    []byte
 }
 
-// New creates a Guard with the given policy and starts its background
-// component.
+// New creates a Guard with the given policy.
 func New(policy Policy) *Guard {
-	return &Guard{policy: policy, bg: newBackground()}
+	return &Guard{policy: policy, creators: map[string]string{}}
 }
-
-// Close shuts the background component down.
-func (g *Guard) Close() { g.bg.close() }
 
 // Middleware returns the PageWrapper: the cookie-API interceptor.
 func (g *Guard) Middleware() browser.CookieMiddleware {
@@ -135,7 +139,7 @@ func (g *Guard) AttachBrowser(b *browser.Browser) {
 			return
 		}
 		if ch.Kind == cookiejar.ChangeCreated {
-			g.bg.record(ch.Cookie.Name, urlutil.RegistrableDomain("https://"+ch.Host+"/"))
+			g.claim(ch.Cookie.Name, urlutil.RegistrableDomain("https://"+ch.Host+"/"))
 		}
 	})
 }
@@ -147,6 +151,27 @@ func (g *Guard) Blocks() []BlockEvent {
 	out := make([]BlockEvent, len(g.blocks))
 	copy(out, g.blocks)
 	return out
+}
+
+// claim records creator for name unless the cookie already has one
+// (first creator wins, matching the extension's dataset semantics) and
+// returns the creator recorded before the call.
+func (g *Guard) claim(name, creator string) (prev string, exists bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	prev, exists = g.creators[name]
+	if !exists {
+		g.creators[name] = creator
+	}
+	return prev, exists
+}
+
+// creator returns name's recorded creator.
+func (g *Guard) creator(name string) (string, bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	c, ok := g.creators[name]
+	return c, ok
 }
 
 func (g *Guard) logBlock(ev BlockEvent) {
@@ -226,21 +251,40 @@ func (p *pageWrapper) GetDocumentCookie(ctx browser.AccessContext) string {
 	if g.isSiteOwner(accessor, site) {
 		return raw
 	}
-	dataset := g.bg.snapshot()
-	names, values := jsdsl.ParseCookieString(raw)
-	var kept []string
+	return g.filterDocumentCookie(raw, accessor, site)
+}
+
+// filterDocumentCookie keeps the pairs of raw that accessor may read,
+// rendered "name=value" and joined by "; " in first-occurrence order
+// (the last value of a repeated name wins). The parse and the rendering
+// reuse the Guard's buffers, so only the returned string is allocated,
+// and not even that when nothing is dropped or rewritten.
+func (g *Guard) filterDocumentCookie(raw, accessor, site string) string {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.names, g.values = jsdsl.ParseCookieStringInto(raw, g.names[:0], g.values)
+	buf := g.buf[:0]
 	filtered := false
-	for _, n := range names {
-		if g.mayAccess(accessor, dataset[n], site) {
-			kept = append(kept, n+"="+values[n])
-		} else {
+	for _, n := range g.names {
+		if !g.mayAccess(accessor, g.creators[n], site) {
 			filtered = true
+			continue
 		}
+		if len(buf) > 0 {
+			buf = append(buf, "; "...)
+		}
+		buf = append(buf, n...)
+		buf = append(buf, '=')
+		buf = append(buf, g.values[n]...)
 	}
+	g.buf = buf
 	if filtered {
-		g.logBlock(BlockEvent{Kind: BlockRead, Accessor: accessor})
+		g.blocks = append(g.blocks, BlockEvent{Kind: BlockRead, Accessor: accessor})
 	}
-	return strings.Join(kept, "; ")
+	if string(buf) == raw {
+		return raw
+	}
+	return string(buf)
 }
 
 func (p *pageWrapper) SetDocumentCookie(ctx browser.AccessContext, assignment string) {
@@ -256,11 +300,9 @@ func (p *pageWrapper) SetDocumentCookie(ctx browser.AccessContext, assignment st
 		return
 	}
 	site := ctx.PageDomain()
-	dataset := g.bg.snapshot()
-	creator, exists := dataset[name]
+	creator, exists := g.claim(name, accessor)
 	if !exists {
-		// Creation: record the accessor as creator and pass through.
-		g.bg.record(name, accessor)
+		// Creation: the accessor is now the creator; pass through.
 		p.next.SetDocumentCookie(ctx, assignment)
 		return
 	}
@@ -285,8 +327,8 @@ func (p *pageWrapper) StoreGet(ctx browser.AccessContext, name string) (jsdsl.Co
 	}
 	site := ctx.PageDomain()
 	if !g.isSiteOwner(accessor, site) {
-		if !g.mayAccess(accessor, g.bg.creatorOf(name), site) {
-			g.logBlock(BlockEvent{Kind: BlockRead, Name: name, Accessor: accessor, Creator: g.bg.creatorOf(name)})
+		if creator, _ := g.creator(name); !g.mayAccess(accessor, creator, site) {
+			g.logBlock(BlockEvent{Kind: BlockRead, Name: name, Accessor: accessor, Creator: creator})
 			return jsdsl.CookieRecord{}, false
 		}
 	}
@@ -306,18 +348,19 @@ func (p *pageWrapper) StoreGetAll(ctx browser.AccessContext) []jsdsl.CookieRecor
 	if g.isSiteOwner(accessor, site) {
 		return all
 	}
-	dataset := g.bg.snapshot()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	var kept []jsdsl.CookieRecord
 	filtered := false
 	for _, rec := range all {
-		if g.mayAccess(accessor, dataset[rec.Name], site) {
+		if g.mayAccess(accessor, g.creators[rec.Name], site) {
 			kept = append(kept, rec)
 		} else {
 			filtered = true
 		}
 	}
 	if filtered {
-		g.logBlock(BlockEvent{Kind: BlockRead, Accessor: accessor})
+		g.blocks = append(g.blocks, BlockEvent{Kind: BlockRead, Accessor: accessor})
 	}
 	return kept
 }
@@ -331,9 +374,8 @@ func (p *pageWrapper) StoreSet(ctx browser.AccessContext, rec jsdsl.CookieRecord
 		return
 	}
 	site := ctx.PageDomain()
-	creator, exists := g.bg.lookup(rec.Name)
+	creator, exists := g.claim(rec.Name, accessor)
 	if !exists {
-		g.bg.record(rec.Name, accessor)
 		p.next.StoreSet(ctx, rec)
 		return
 	}
@@ -353,7 +395,7 @@ func (p *pageWrapper) StoreDelete(ctx browser.AccessContext, name string) {
 		return
 	}
 	site := ctx.PageDomain()
-	creator, exists := g.bg.lookup(name)
+	creator, exists := g.creator(name)
 	if exists && !g.mayAccess(accessor, creator, site) {
 		g.logBlock(BlockEvent{Kind: BlockDelete, Name: name, Accessor: accessor, Creator: creator})
 		return

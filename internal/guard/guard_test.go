@@ -2,12 +2,15 @@ package guard
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 
 	"cookieguard/internal/browser"
 	"cookieguard/internal/entity"
+	"cookieguard/internal/jsdsl"
 	"cookieguard/internal/netsim"
 )
 
@@ -60,7 +63,6 @@ func guardedWeb(extra map[string]string) *netsim.Internet {
 func visitWithGuard(t *testing.T, in *netsim.Internet, policy Policy) (*Guard, *browser.Browser, *browser.Page) {
 	t.Helper()
 	g := New(policy)
-	t.Cleanup(g.Close)
 	b, err := browser.New(browser.Options{
 		Internet:         in,
 		CookieMiddleware: []browser.CookieMiddleware{g.Middleware()},
@@ -358,7 +360,7 @@ func TestHTTPCookieOwnedBySite(t *testing.T) {
 	// via owner_sees_all).
 	g, _, _ := visitWithGuard(t, guardedWeb(crossReadScripts()), DefaultPolicy())
 	// The dataset learned srv_pref's creator from the Set-Cookie header.
-	if got := g.bg.creatorOf("srv_pref"); got != "shop.example" {
+	if got, _ := g.creator("srv_pref"); got != "shop.example" {
 		t.Fatalf("srv_pref creator = %q", got)
 	}
 }
@@ -384,15 +386,127 @@ func TestPerOpOverheadCharged(t *testing.T) {
 	}
 }
 
-func TestCloseIdempotent(t *testing.T) {
+// TestBackgroundRoundTrip: the Background dataset records each
+// cookie's first creator and answers lookups from it.
+func TestBackgroundRoundTrip(t *testing.T) {
 	g := New(DefaultPolicy())
-	g.Close()
-	g.Close() // must not panic
-	// Operations after close degrade gracefully.
-	if got := g.bg.creatorOf("x"); got != "" {
-		t.Fatalf("creatorOf after close = %q", got)
+	if _, exists := g.claim("uid", "tracker.example"); exists {
+		t.Fatal("first claim reported an existing creator")
 	}
-	g.bg.record("x", "y") // no deadlock
+	if prev, exists := g.claim("uid", "other.example"); !exists || prev != "tracker.example" {
+		t.Fatalf("second claim = %q,%v; want tracker.example,true", prev, exists)
+	}
+	g.claim("sess", "site.example")
+	if c, ok := g.creator("uid"); !ok || c != "tracker.example" {
+		t.Fatalf("creator(uid) = %q,%v; want tracker.example,true (first creator wins)", c, ok)
+	}
+	if c, ok := g.creator("sess"); !ok || c != "site.example" {
+		t.Fatalf("creator(sess) = %q,%v", c, ok)
+	}
+	if _, ok := g.creator("missing"); ok {
+		t.Fatal("creator(missing) reported existence")
+	}
+}
+
+// TestGuardConcurrentOperations drives one Guard's dataset, filter and
+// block log from several goroutines; it is meaningful under the race
+// detector, which CI runs on this package.
+func TestGuardConcurrentOperations(t *testing.T) {
+	g := New(DefaultPolicy())
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			accessor := fmt.Sprintf("t%d.example", w)
+			for i := 0; i < 200; i++ {
+				g.claim(fmt.Sprintf("c%d", i%17), accessor)
+				g.creator("c3")
+				g.filterDocumentCookie("c1=a; c2=b; c3=c", accessor, "shop.example")
+				g.Blocks()
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// referenceFilter is the document.cookie filter as first written: parse
+// into fresh containers, render the kept pairs, join. The buffered
+// filter must match it byte for byte.
+func referenceFilter(g *Guard, raw, accessor, site string) (string, bool) {
+	names, values := jsdsl.ParseCookieString(raw)
+	var kept []string
+	filtered := false
+	for _, n := range names {
+		creator, _ := g.creator(n)
+		if g.mayAccess(accessor, creator, site) {
+			kept = append(kept, n+"="+values[n])
+		} else {
+			filtered = true
+		}
+	}
+	return strings.Join(kept, "; "), filtered
+}
+
+func TestDocumentCookieFilterMatchesReference(t *testing.T) {
+	g := New(DefaultPolicy())
+	const site, accessor = "shop.example", "tracker.example"
+	g.claim("mine", accessor)
+	g.claim("dup", accessor)
+	g.claim("other", "rival.example")
+	g.claim("_ga", "rival.example")
+	inputs := []string{
+		"",
+		";",
+		" ; ;  ",
+		"mine=1",
+		"mine=1; other=2",
+		"other=2",
+		"dup=1; dup=2",
+		"dup=1; other=x; dup=3",
+		"  mine  =  spaced value  ;other= 2 ",
+		"mine=a=b==c; other=x=y",
+		"=nameless; mine=1; =; bare; other",
+		"site_pref=1; mine=2", // unattributed: site-owned, hidden from trackers
+		"mine=; dup=",
+		"mine=1;;;dup=2;",
+		"_ga=GA1.1.1.2; mine=v; _ga=GA1.2.3.4",
+	}
+	// Generated inputs over a small alphabet hit every combination of
+	// the separators, duplicates and empty segments above.
+	rng := rand.New(rand.NewPCG(1, 2))
+	parts := []string{"mine", "dup", "other", "new", "=", ";", " ", "v", "=v", "; ", "_ga="}
+	for i := 0; i < 2000; i++ {
+		var sb strings.Builder
+		for j := rng.IntN(8); j >= 0; j-- {
+			sb.WriteString(parts[rng.IntN(len(parts))])
+		}
+		inputs = append(inputs, sb.String())
+	}
+	var got []string
+	for _, raw := range inputs {
+		blocksBefore := len(g.Blocks())
+		out := g.filterDocumentCookie(raw, accessor, site)
+		want, filtered := referenceFilter(g, raw, accessor, site)
+		if out != want {
+			t.Fatalf("filter(%q) = %q, reference %q", raw, out, want)
+		}
+		if logged := len(g.Blocks()) > blocksBefore; logged != filtered {
+			t.Fatalf("filter(%q) logged a block: %v, reference filtered: %v", raw, logged, filtered)
+		}
+		got = append(got, out)
+	}
+	// Results must not alias the reused buffer: later reads leave
+	// earlier strings intact.
+	for i, raw := range inputs {
+		if want, _ := referenceFilter(g, raw, accessor, site); got[i] != want {
+			t.Fatalf("result for %q changed after later reads: %q, want %q", raw, got[i], want)
+		}
+	}
+	// A repeated name collapses to its last value on the guarded path.
+	if out := g.filterDocumentCookie("dup=1; dup=2", accessor, site); out != "dup=2" {
+		t.Fatalf("guarded read of a repeated name = %q, want dup=2", out)
+	}
 }
 
 func TestAssignmentHelpers(t *testing.T) {

@@ -48,18 +48,20 @@ func stringMap(m *Map) map[string]string {
 }
 
 // ParseCookieString parses a document.cookie string ("a=1; b=2") into
-// ordered name/value pairs. Exported because the guard and analysis also
-// need it.
+// name/value pairs: names in first-occurrence order, the last value of
+// a repeated name winning, both trimmed of surrounding whitespace, and
+// segments without a name skipped.
 func ParseCookieString(s string) (names []string, values map[string]string) {
-	return parseCookieStringInto(s, nil, nil)
+	return ParseCookieStringInto(s, nil, nil)
 }
 
-// parseCookieStringInto is ParseCookieString reusing the caller's slice
-// and map (the interpreter's memo passes its previous buffers back in so
-// a changed cookie string re-parses without reallocating). Segments are
+// ParseCookieStringInto is ParseCookieString reusing the caller's slice
+// (appended to) and map (cleared). The interpreter's memo and the
+// guard's document.cookie filter pass their previous buffers back in so
+// a changed cookie string re-parses without reallocating. Segments are
 // walked in place; strings.Split here was one of the crawl's dominant
 // allocation sites.
-func parseCookieStringInto(s string, names []string, values map[string]string) ([]string, map[string]string) {
+func ParseCookieStringInto(s string, names []string, values map[string]string) ([]string, map[string]string) {
 	if values == nil {
 		values = map[string]string{}
 	} else {

@@ -82,7 +82,7 @@ func (in *Interp) parsedDocCookie(s string) ([]string, map[string]string) {
 	if in.cookieMemo && s == in.cookieStr {
 		return in.cookieNames, in.cookieVals
 	}
-	in.cookieNames, in.cookieVals = parseCookieStringInto(s, in.cookieNames[:0], in.cookieVals)
+	in.cookieNames, in.cookieVals = ParseCookieStringInto(s, in.cookieNames[:0], in.cookieVals)
 	in.cookieStr, in.cookieMemo = s, true
 	return in.cookieNames, in.cookieVals
 }

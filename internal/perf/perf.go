@@ -79,7 +79,6 @@ func measureOnce(in *netsim.Internet, s *webgen.Site, withGuard bool, w *webgen.
 	var mw []browser.CookieMiddleware
 	if withGuard {
 		g = guard.New(guard.DefaultPolicy())
-		defer g.Close()
 		mw = append(mw, g.Middleware())
 	}
 	b, err := browser.New(browser.Options{Internet: in, CookieMiddleware: mw, Seed: uint64(s.Rank), Artifacts: cache})

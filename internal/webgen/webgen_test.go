@@ -1,6 +1,8 @@
 package webgen
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"cookieguard/internal/browser"
@@ -354,4 +356,19 @@ func TestStatsRandIsolated(t *testing.T) {
 		}
 	}
 	_ = stats.NewRand(0) // keep import
+}
+
+func TestWriteQuotedMatchesStrconv(t *testing.T) {
+	w := Build(DefaultConfig(20))
+	inputs := []string{"", "a", `say "hi"`, `back\slash`, "tab\there", "new\nline", "naïve", "\x7f", "\xff", "~ !"}
+	for _, svc := range w.Services {
+		inputs = append(inputs, svc.URL())
+	}
+	for _, s := range inputs {
+		var b strings.Builder
+		writeQuoted(&b, s)
+		if want := strconv.Quote(s); b.String() != want {
+			t.Fatalf("writeQuoted(%q) = %s, want %s", s, b.String(), want)
+		}
+	}
 }
