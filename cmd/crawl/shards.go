@@ -151,7 +151,7 @@ func shardSortKey(line []byte) (string, error) {
 // serving flags never propagate (workers write shard files the
 // supervisor merges).
 func workerArgs(sites, workers int, seed uint64, guarded, sortOut bool, faults float64,
-	retries int, secondPass, breaker, autopilot bool, vantages string, vantParallel bool,
+	retries int, secondPass, breaker, autopilot bool, vantages string,
 	personas string, cmp, pooling, verbose bool) []string {
 	args := []string{
 		"-sites", strconv.Itoa(sites),
@@ -180,9 +180,6 @@ func workerArgs(sites, workers int, seed uint64, guarded, sortOut bool, faults f
 	}
 	if vantages != "" {
 		args = append(args, "-vantages", vantages)
-		if vantParallel {
-			args = append(args, "-vantage-parallel")
-		}
 	}
 	if personas != "" {
 		args = append(args, "-personas", personas)

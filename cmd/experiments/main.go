@@ -9,7 +9,6 @@
 //	            [-cpuprofile FILE] [-memprofile FILE]
 //	            [-faults RATE] [-retries N] [-second-pass] [-breaker]
 //	            [-autopilot] [-vantages eu-west,us-east]
-//	            [-vantage-parallel] [-vantage-compare]
 //	            [-personas accept,reject,dismiss] [-cmp]
 //	            [-serve :8089] [-serve-bench]
 //	            [-checkpoint DIR] [-checkpoint-compare]
@@ -51,17 +50,6 @@
 // -cmp alone generates the consent-manager web without acting on the
 // banners.
 //
-// Cross-vantage scheduling: -vantage-parallel crawls all vantages
-// through one unified worker pool (records byte-identical to the
-// sequential default), -vantage-compare additionally times a
-// sequential-mode baseline of the same configuration and records
-// sequential vs parallel visits/s plus their ratio in the -bench-json
-// snapshot (BENCH_7.json by convention; the CI vantage gate requires
-// speedup >= 1.2 on multi-core shapes), and -autopilot switches the
-// circuit breaker to
-// self-tuned per-host thresholds learned from observed inter-failure
-// intervals.
-//
 // Live serving: -serve exposes the measurement crawl's analysis over
 // HTTP while it runs (cookieguard.Server — versioned snapshots with
 // blocking queries; see the Server doc). -serve-bench runs the HTTP
@@ -73,13 +61,16 @@
 //
 // Scheduling and vantage points: -second-pass re-crawls the transient
 // failure set once the primary frontier drains, -breaker enables
-// per-host circuit breaking (sheds recorded as "circuit-open"), and
-// -vantages crawls every site once per named region over the same
-// frozen web and artifact cache, printing the per-vantage retention and
-// load-event latency-tail table (the Figure 6 comparison across
-// regions). -bench-json records per-vantage sites/s and the scheduler's
-// shed/probe counters alongside the usual throughput figures
-// (BENCH_5.json by convention for multi-vantage faulted runs).
+// per-host circuit breaking (sheds recorded as "circuit-open"),
+// -autopilot switches the breaker to self-tuned per-host thresholds
+// learned from observed inter-failure intervals, and -vantages crawls
+// every site once per named region over the same frozen web and
+// artifact cache — every vantage's visits sharing one worker pool —
+// printing the per-vantage retention and load-event latency-tail table
+// (the Figure 6 comparison across regions). -bench-json records the
+// per-vantage rows and the scheduler's shed/probe counters alongside
+// the usual throughput figures (BENCH_5.json by convention for
+// multi-vantage faulted runs).
 //
 // Profiling and the perf harness: -cpuprofile/-memprofile write pprof
 // profiles (the memory profile is taken right after the measurement
@@ -159,10 +150,6 @@ func main() {
 		"self-tuning breaker thresholds: learn each host's failure threshold and cooldown from its observed inter-failure intervals (implies -breaker)")
 	vantages := flag.String("vantages", "",
 		"comma-separated vantage-point names; crawls every site once per region and prints the per-vantage latency-tail table")
-	vantParallel := flag.Bool("vantage-parallel", false,
-		"crawl all vantages through one unified worker pool (byte-identical records, higher throughput) instead of vantage by vantage")
-	vantCompare := flag.Bool("vantage-compare", false,
-		"additionally time a sequential-mode baseline and record sequential vs parallel visits/s (and their ratio) in -bench-json; implies -vantage-parallel")
 	personas := flag.String("personas", "",
 		"comma-separated consent personas (e.g. accept,reject,dismiss); crawls every (site, vantage) pair once per persona, clicking the matching consent-banner action (implies -cmp) and printing the per-persona consent-delta table")
 	cmp := flag.Bool("cmp", false,
@@ -207,7 +194,6 @@ func main() {
 		benchJSON: *benchJSON, memProfile: *memProfile,
 		faultRate: *faults, retries: *retries,
 		secondPass: *secondPass, breaker: *breaker, autopilot: *autopilot,
-		vantParallel: *vantParallel || *vantCompare, vantCompare: *vantCompare,
 		cmp:       *cmp,
 		serveAddr: *serve, serveBench: *serveBench,
 		checkpointDir: *checkpoint, ckptCompare: *ckptCompare,
@@ -256,8 +242,6 @@ type runConfig struct {
 	secondPass, breaker    bool
 	autopilot              bool
 	vantages               []cookieguard.Vantage
-	vantParallel           bool
-	vantCompare            bool
 	personas               []string
 	cmp                    bool
 	serveAddr              string
@@ -285,7 +269,7 @@ type benchSnapshot struct {
 	// counts each distinct site once (sites / CrawlSeconds) while
 	// VisitsPerSec counts performed crawls — sites × vantages — per
 	// wall-clock second, the figure that is comparable across vantage
-	// counts and modes. For single-vantage runs the two coincide.
+	// counts. For single-vantage runs the two coincide.
 	// UnitsPerSec generalizes VisitsPerSec to the full crawl-plan axis:
 	// sites × vantages × personas per wall-clock second, the figure that
 	// is comparable across persona counts too (equal to VisitsPerSec
@@ -294,10 +278,6 @@ type benchSnapshot struct {
 	SitesPerSec  float64 `json:"sites_per_sec"`
 	VisitsPerSec float64 `json:"visits_per_sec"`
 	UnitsPerSec  float64 `json:"units_per_sec"`
-	// VantageParallel records whether the crawl ran the unified
-	// cross-vantage scheduler (-vantage-parallel) instead of vantage by
-	// vantage.
-	VantageParallel bool `json:"vantage_parallel,omitempty"`
 	// Shards records the measurement crawl's in-process shard count
 	// (absent when unsharded); UnitsPerSec above then measures the
 	// sharded crawl end to end, merge included.
@@ -317,16 +297,9 @@ type benchSnapshot struct {
 	// circuit-breaker shed/probe activity, and second-pass volume (all
 	// zero without -breaker/-second-pass).
 	Sched cookieguard.SchedSnapshot `json:"sched"`
-	// Vantages carries per-vantage throughput and latency-tail rows for
-	// multi-vantage runs (absent otherwise). Per-vantage crawl_seconds /
-	// sites_per_sec are only attributable in sequential mode; under
-	// -vantage-parallel the lanes share one pool and the rows carry the
-	// analysis columns only.
+	// Vantages carries per-vantage retention and latency-tail rows for
+	// multi-vantage runs (absent otherwise).
 	Vantages []vantageBench `json:"vantages,omitempty"`
-	// VantageModes is the -vantage-compare record: the same configuration
-	// timed in sequential and unified-parallel vantage mode, plus the
-	// parallel/sequential visits-per-second ratio the CI gate checks.
-	VantageModes *vantageModes `json:"vantage_modes,omitempty"`
 	// Checkpoint is the -checkpoint/-checkpoint-compare record: journal
 	// IO volume and the units/s cost of write-ahead journaling (absent
 	// without either flag).
@@ -358,34 +331,8 @@ type serveBenchResult struct {
 
 // vantageBench is one vantage point's row in the bench snapshot.
 type vantageBench struct {
-	Name         string  `json:"name"`
-	CrawlSeconds float64 `json:"crawl_seconds,omitempty"`
-	SitesPerSec  float64 `json:"sites_per_sec,omitempty"`
+	Name string `json:"name"`
 	cookieguard.VantageStats
-}
-
-// vantageModes compares the two multi-vantage crawl modes over one
-// configuration (-vantage-compare): fresh pipelines, both draining
-// Stream, sequential timed first.
-type vantageModes struct {
-	// CPUs is runtime.NumCPU() on the measuring machine. The unified
-	// pool's wall-clock win comes from filling one lane's round-barrier
-	// tail with other lanes' visits, which needs runnable cores: on a
-	// single-CPU shape the simulated crawl is CPU-bound (virtual-clock
-	// latency costs no wall time) and the two modes tie.
-	CPUs       int              `json:"cpus"`
-	Sequential vantageModeBench `json:"sequential"`
-	Parallel   vantageModeBench `json:"parallel"`
-	// Speedup is parallel visits/s over sequential visits/s; the CI
-	// vantage gate requires ≥ 1.2 on multi-core shapes and non-regression
-	// on single-core shapes.
-	Speedup float64 `json:"speedup"`
-}
-
-// vantageModeBench is one mode's timing in a -vantage-compare record.
-type vantageModeBench struct {
-	CrawlSeconds float64 `json:"crawl_seconds"`
-	VisitsPerSec float64 `json:"visits_per_sec"`
 }
 
 // shardModes compares unsharded vs in-process-sharded crawling over one
@@ -482,14 +429,11 @@ func run(cfg runConfig) error {
 	if cfg.cmp {
 		resilience = append(resilience, cookieguard.WithCMP(true))
 	}
-	// The -vantage-compare and -checkpoint-compare baselines rerun this
-	// exact configuration on fresh pipelines: same resilience stack, no
-	// unified pool, no server, no journal — each compare lap adds the one
+	// The -shard-compare and -checkpoint-compare laps rerun this exact
+	// configuration on fresh pipelines: same resilience stack, no
+	// shards, no server, no journal — each compare lap adds the one
 	// option it is measuring itself.
-	seqResilience := append([]cookieguard.Option(nil), resilience...)
-	if len(cfg.vantages) > 0 && cfg.vantParallel {
-		resilience = append(resilience, cookieguard.WithVantageParallel(true))
-	}
+	baseline := append([]cookieguard.Option(nil), resilience...)
 	if cfg.shards > 1 && !cfg.shardCompare {
 		resilience = append(resilience, cookieguard.WithShards(cfg.shards))
 	}
@@ -526,52 +470,9 @@ func run(cfg runConfig) error {
 	var msBefore, msAfter runtime.MemStats
 	runtime.ReadMemStats(&msBefore)
 	crawlStart := time.Now()
-	// Sequential named-vantage runs crawl vantage by vantage so each
-	// region's throughput is separately attributable (even a single
-	// region, whose bench row would otherwise report zero seconds);
-	// everything folds into one analyzer, whose per-vantage rollup feeds
-	// the comparison table. Under -vantage-parallel the lanes share one
-	// pool — per-vantage wall-clock is not attributable, so Run's unified
-	// path does the crawl and the per-vantage rows keep only the
-	// analysis columns.
-	var res *cookieguard.Results
-	vantSecs := map[string]float64{}
-	if vs := study.Vantages(); len(cfg.vantages) > 0 && !cfg.vantParallel && (cfg.shards <= 1 || cfg.shardCompare) {
-		// This loop bypasses Run (per-vantage timing), so it feeds the
-		// result store itself when serving: same sharded analyzer and
-		// cadence, so the served snapshots are identical in kind.
-		sh := study.NewShardedAnalyzer(1)
-		store := study.ResultStore()
-		serving := cfg.serveAddr != ""
-		unitsPerVantage := 1
-		if len(cfg.personas) > 0 {
-			unitsPerVantage = len(cfg.personas)
-		}
-		observed, total := 0, sites*len(vs)*unitsPerVantage
-		for _, v := range vs {
-			vStart := time.Now()
-			logs, errs := study.StreamVantage(ctx, v)
-			for l := range logs {
-				sh.Observe(0, l)
-				if observed++; serving && observed%64 == 0 {
-					store.Publish(cookieguard.ResultProgress{Done: observed, Total: total}, sh.Snapshot())
-				}
-			}
-			if err := <-errs; err != nil {
-				return err
-			}
-			vantSecs[v.Name] = time.Since(vStart).Seconds()
-		}
-		res = sh.Finalize()
-		if serving {
-			store.Publish(cookieguard.ResultProgress{Done: observed, Total: total, Final: true}, res)
-		}
-	} else {
-		var err error
-		res, err = study.Run(ctx)
-		if err != nil {
-			return err
-		}
+	res, err := study.Run(ctx)
+	if err != nil {
+		return err
 	}
 	crawlSecs := time.Since(crawlStart).Seconds()
 	runtime.ReadMemStats(&msAfter)
@@ -620,76 +521,12 @@ func run(cfg runConfig) error {
 		fmt.Fprintf(out, "allocation profile written to %s\n\n", memProfile)
 	}
 
-	// -vantage-compare: time the same configuration in sequential and
-	// unified-parallel vantage mode, each on a fresh pipeline (fresh web
-	// and caches) draining Stream — identical work on both sides, so the
-	// ratio isolates the scheduling mode. Runs after the MemStats read so
-	// the extra crawls don't pollute the allocs_per_site figures.
-	var vm *vantageModes
-	if cfg.vantCompare && len(cfg.vantages) > 1 {
-		fmt.Fprintln(out, "--- vantage-mode comparison (-vantage-compare) ---")
-		timeMode := func(parallel bool) (float64, int, error) {
-			opts := append([]cookieguard.Option{
-				cookieguard.WithSites(sites),
-				cookieguard.WithWorkers(workers),
-				cookieguard.WithSeed(seed),
-				cookieguard.WithInteract(true),
-				cookieguard.WithArtifactCache(artifactCache),
-				cookieguard.WithPooling(pooling),
-			}, seqResilience...)
-			if parallel {
-				opts = append(opts, cookieguard.WithVantageParallel(true))
-			}
-			p := cookieguard.New(opts...)
-			start := time.Now()
-			logs, errCh := p.Stream(ctx)
-			visits := 0
-			for range logs {
-				visits++
-			}
-			if err := <-errCh; err != nil {
-				return 0, 0, err
-			}
-			return time.Since(start).Seconds(), visits, nil
-		}
-		// Two alternating iterations per mode, best-of each: the first
-		// lap warms the process (heap size, GC pacing), and min picks
-		// each mode's warm run, so the ratio isn't an artifact of which
-		// mode ran first.
-		seqSecs, parSecs := 0.0, 0.0
-		visits := 0
-		for i := 0; i < 2; i++ {
-			s, n, err := timeMode(false)
-			if err != nil {
-				return err
-			}
-			p, _, err := timeMode(true)
-			if err != nil {
-				return err
-			}
-			visits = n
-			if seqSecs == 0 || s < seqSecs {
-				seqSecs = s
-			}
-			if parSecs == 0 || p < parSecs {
-				parSecs = p
-			}
-		}
-		vm = &vantageModes{
-			CPUs:       runtime.NumCPU(),
-			Sequential: vantageModeBench{CrawlSeconds: seqSecs, VisitsPerSec: float64(visits) / seqSecs},
-			Parallel:   vantageModeBench{CrawlSeconds: parSecs, VisitsPerSec: float64(visits) / parSecs},
-		}
-		vm.Speedup = vm.Parallel.VisitsPerSec / vm.Sequential.VisitsPerSec
-		fmt.Fprintf(out, "sequential %.2fs (%.1f visits/s) vs unified pool %.2fs (%.1f visits/s): speedup %.2fx on %d CPUs\n\n",
-			seqSecs, vm.Sequential.VisitsPerSec, parSecs, vm.Parallel.VisitsPerSec, vm.Speedup, vm.CPUs)
-	}
-
 	// -shard-compare: time the same configuration unsharded and at N
 	// in-process shards, each on a fresh pipeline draining Stream —
 	// identical unit work on both sides, so the ratio isolates shard
-	// parallelism. Same lap protocol as -vantage-compare: two alternating
-	// iterations per mode, best-of each, so warmup bills to neither side.
+	// parallelism. Two alternating iterations per mode, best-of each: the
+	// first lap warms the process (heap size, GC pacing), and min picks
+	// each mode's warm run, so warmup bills to neither side.
 	var sm *shardModes
 	if cfg.shardCompare {
 		fmt.Fprintln(out, "--- shard-mode comparison (-shard-compare) ---")
@@ -701,10 +538,7 @@ func run(cfg runConfig) error {
 				cookieguard.WithInteract(true),
 				cookieguard.WithArtifactCache(artifactCache),
 				cookieguard.WithPooling(pooling),
-			}, seqResilience...)
-			if len(cfg.vantages) > 0 && cfg.vantParallel {
-				opts = append(opts, cookieguard.WithVantageParallel(true))
-			}
+			}, baseline...)
 			if n > 1 {
 				opts = append(opts, cookieguard.WithShards(n))
 			}
@@ -789,10 +623,7 @@ func run(cfg runConfig) error {
 				cookieguard.WithInteract(true),
 				cookieguard.WithArtifactCache(artifactCache),
 				cookieguard.WithPooling(pooling),
-			}, seqResilience...)
-			if len(cfg.vantages) > 0 && cfg.vantParallel {
-				opts = append(opts, cookieguard.WithVantageParallel(true))
-			}
+			}, baseline...)
 			if dir != "" {
 				opts = append(opts, cookieguard.WithCheckpoint(dir))
 			}
@@ -897,43 +728,37 @@ func run(cfg runConfig) error {
 			snapShards = cfg.shards
 		}
 		snap := benchSnapshot{
-			Benchmark:       "StreamingPipeline",
-			Sites:           sites,
-			Workers:         workers,
-			Seed:            seed,
-			ArtifactCache:   artifactCache,
-			Pooling:         pooling,
-			FaultRate:       faultRate,
-			RetryAttempts:   retries,
-			Personas:        cfg.personas,
-			CrawlSeconds:    crawlSecs,
-			SitesPerSec:     float64(sites) / crawlSecs,
-			VisitsPerSec:    float64(sites*len(study.Vantages())) / crawlSecs,
-			UnitsPerSec:     float64(sites*len(study.Vantages())*max(1, len(cfg.personas))) / crawlSecs,
-			VantageParallel: cfg.vantParallel,
-			VantageModes:    vm,
-			Checkpoint:      ckpt,
-			ShardModes:      sm,
-			Shards:          snapShards,
-			AllocsPerSite:   float64(msAfter.Mallocs-msBefore.Mallocs) / float64(sites),
-			BytesPerSite:    float64(msAfter.TotalAlloc-msBefore.TotalAlloc) / float64(sites),
-			GCCycles:        msAfter.NumGC - msBefore.NumGC,
-			GCPauseMs:       float64(msAfter.PauseTotalNs-msBefore.PauseTotalNs) / 1e6,
-			CacheStats:      cs,
-			PoolStats:       study.PoolStats(),
-			Sched:           study.SchedStats(),
-			Failures:        res.Failures,
-			ServeBench:      sb,
+			Benchmark:     "StreamingPipeline",
+			Sites:         sites,
+			Workers:       workers,
+			Seed:          seed,
+			ArtifactCache: artifactCache,
+			Pooling:       pooling,
+			FaultRate:     faultRate,
+			RetryAttempts: retries,
+			Personas:      cfg.personas,
+			CrawlSeconds:  crawlSecs,
+			SitesPerSec:   float64(sites) / crawlSecs,
+			VisitsPerSec:  float64(sites*len(study.Vantages())) / crawlSecs,
+			UnitsPerSec:   float64(sites*len(study.Vantages())*max(1, len(cfg.personas))) / crawlSecs,
+			Checkpoint:    ckpt,
+			ShardModes:    sm,
+			Shards:        snapShards,
+			AllocsPerSite: float64(msAfter.Mallocs-msBefore.Mallocs) / float64(sites),
+			BytesPerSite:  float64(msAfter.TotalAlloc-msBefore.TotalAlloc) / float64(sites),
+			GCCycles:      msAfter.NumGC - msBefore.NumGC,
+			GCPauseMs:     float64(msAfter.PauseTotalNs-msBefore.PauseTotalNs) / 1e6,
+			CacheStats:    cs,
+			PoolStats:     study.PoolStats(),
+			Sched:         study.SchedStats(),
+			Failures:      res.Failures,
+			ServeBench:    sb,
 		}
 		for _, row := range res.VantageTable() {
 			if row.Vantage == "" && len(cfg.vantages) == 0 {
 				continue // single implicit vantage: no per-vantage rows
 			}
-			vb := vantageBench{Name: row.Vantage, CrawlSeconds: vantSecs[row.Vantage], VantageStats: row.VantageStats}
-			if vb.CrawlSeconds > 0 {
-				vb.SitesPerSec = float64(row.Visits) / vb.CrawlSeconds
-			}
-			snap.Vantages = append(snap.Vantages, vb)
+			snap.Vantages = append(snap.Vantages, vantageBench{Name: row.Vantage, VantageStats: row.VantageStats})
 		}
 		data, err := json.MarshalIndent(snap, "", "  ")
 		if err != nil {

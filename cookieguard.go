@@ -279,11 +279,10 @@ func (p *Pipeline) ensureJournal() (*journal.Journal, error) {
 // the crawl's emitted bytes, so a journal is only ever resumed under
 // the configuration that wrote it. Knobs the determinism contract
 // makes byte-invisible are deliberately excluded — the worker count,
-// vantage-parallel vs sequential scheduling, pooling, the artifact
-// cache — which is exactly what lets a crawl resume at a different
-// worker count. Vantage latency models are functions and likewise
-// excluded (latency shifts virtual timing deterministically from the
-// vantage name's seed, which is covered). A sharded crawl's journals
+// pooling, the artifact cache — which is exactly what lets a crawl
+// resume at a different worker count. Vantage latency models are
+// functions and likewise excluded (latency shifts virtual timing
+// deterministically from the vantage name's seed, which is covered). A sharded crawl's journals
 // additionally carry their shard coordinate ("i/n"), so a shard
 // journal only resumes as the same shard of the same split — see
 // Pipeline.fingerprint.
@@ -375,11 +374,11 @@ func errStream(err error) (<-chan VisitLog, <-chan error) {
 	return out, errc
 }
 
-// crawlOptions assembles the crawler configuration for one vantage
-// point, composing the guard (innermost, enforcing) with registered
-// middleware factories. p.jnl must be resolved (ensureJournal) before
-// any crawl options are built.
-func (p *Pipeline) crawlOptions(v Vantage) crawler.Options {
+// crawlOptions assembles the crawler configuration over every
+// configured vantage, composing the guard (innermost, enforcing) with
+// registered middleware factories. p.jnl must be resolved
+// (ensureJournal) before any crawl options are built.
+func (p *Pipeline) crawlOptions() crawler.Options {
 	opts := crawler.Options{
 		Internet:             p.Net,
 		Workers:              p.cfg.workers,
@@ -395,6 +394,7 @@ func (p *Pipeline) crawlOptions(v Vantage) crawler.Options {
 		Scheduler:            p.cfg.scheduler,
 		Breaker:              p.cfg.breaker,
 		SecondPass:           crawler.SecondPass{Enabled: p.cfg.secondPass},
+		Vantages:             p.Vantages(),
 		Personas:             p.cfg.personas,
 		Stats:                p.sched,
 		Journal:              p.jnl,
@@ -405,9 +405,6 @@ func (p *Pipeline) crawlOptions(v Vantage) crawler.Options {
 		// order; WithBreaker's round size and reference cooldown apply.
 		opts.Breaker.Enabled = true
 		opts.Breaker.Autopilot = true
-	}
-	if !v.Default() {
-		opts.Vantage = &v
 	}
 	pol := p.cfg.guard
 	factories := p.cfg.middleware
@@ -486,17 +483,6 @@ func (p *Pipeline) SchedStats() SchedSnapshot {
 	return p.sched.Snapshot()
 }
 
-// StreamVantage runs the measurement crawl from one vantage point and
-// delivers its visit logs incrementally (each tagged v.Name). Multiple
-// vantage streams over the same pipeline share the web, the fabric, and
-// the artifact cache.
-func (p *Pipeline) StreamVantage(ctx context.Context, v Vantage) (<-chan VisitLog, <-chan error) {
-	if _, err := p.ensureJournal(); err != nil {
-		return errStream(err)
-	}
-	return crawler.Stream(ctx, crawler.SiteURLs(trancolist.Domains(p.SiteList())), p.crawlOptions(v))
-}
-
 // Stream runs the instrumented measurement crawl (§4) and delivers
 // visit logs incrementally, in completion order, as each visit finishes.
 // The log channel is bounded by the worker count, so a slow consumer
@@ -507,12 +493,11 @@ func (p *Pipeline) StreamVantage(ctx context.Context, v Vantage) (<-chan VisitLo
 // With WithVantages configured, the stream visits every site once per
 // vantage point over one frozen web and one artifact cache, each log
 // tagged with its vantage name; WithPersonas multiplies the plan again
-// (one unit per (site, vantage, persona), each log tagged Persona). By
-// default the vantages crawl vantage by vantage in configuration order;
-// with WithVantageParallel all vantages' visits interleave through one
-// worker pool (identical records, different stream order). Either way,
-// Progress/ProgressStats callbacks report one monotonic done out of
-// sites × vantages × personas — no per-vantage restart.
+// (one unit per (site, vantage, persona), each log tagged Persona).
+// Every unit flows through one worker pool — one scheduling lane per
+// (vantage, persona) cell — so vantages interleave in completion order,
+// and Progress/ProgressStats callbacks report one monotonic done out of
+// sites × vantages × personas.
 func (p *Pipeline) Stream(ctx context.Context) (<-chan VisitLog, <-chan error) {
 	if p.cfg.shardWorker != nil {
 		return p.streamShardWorker(ctx)
@@ -523,66 +508,15 @@ func (p *Pipeline) Stream(ctx context.Context) (<-chan VisitLog, <-chan error) {
 	if _, err := p.ensureJournal(); err != nil {
 		return errStream(err)
 	}
-	vs := p.Vantages()
-	if len(vs) == 1 {
-		return p.StreamVantage(ctx, vs[0])
-	}
-	sites := crawler.SiteURLs(trancolist.Domains(p.SiteList()))
-	if p.cfg.vantParallel {
-		opts := p.crawlOptions(Vantage{})
-		opts.Vantages = vs
-		return crawler.Stream(ctx, sites, opts)
-	}
-	out := make(chan VisitLog)
-	errc := make(chan error, 1)
-	go func() {
-		defer close(out)
-		defer close(errc)
-		per := len(sites) * p.unitsPerVantage()
-		for vi, v := range vs {
-			opts := p.crawlOptions(v)
-			offsetProgress(&opts, vi*per, len(vs)*per)
-			logs, errs := crawler.Stream(ctx, sites, opts)
-			for l := range logs {
-				select {
-				case out <- l:
-				case <-ctx.Done():
-					for range logs {
-					}
-				}
-			}
-			if err := <-errs; err != nil {
-				errc <- err
-				return
-			}
-		}
-	}()
-	return out, errc
-}
-
-// offsetProgress rebases one vantage crawl's progress callbacks into
-// the pipeline-wide done/total space (sites × vantages), so sequential
-// multi-vantage crawls report a single monotonic count instead of
-// restarting per vantage — the same numbers the unified parallel
-// scheduler reports natively.
-func offsetProgress(opts *crawler.Options, base, total int) {
-	if fn := opts.Progress; fn != nil {
-		opts.Progress = func(done, _ int) { fn(base+done, total) }
-	}
-	if fn := opts.ProgressStats; fn != nil {
-		opts.ProgressStats = func(ps crawler.ProgressStats) {
-			ps.Done += base
-			ps.Total = total
-			fn(ps)
-		}
-	}
+	return crawler.Stream(ctx, crawler.SiteURLs(trancolist.Domains(p.SiteList())), p.crawlOptions())
 }
 
 // Crawl runs the measurement crawl over every site and materializes all
-// logs, in ranked-site order (with WithVantages, one ranked-order block
-// per vantage, concatenated in configuration order). It is a batch
-// wrapper over the streaming core — memory scales with the site count
-// times the vantage count, so prefer Run or Stream for large workloads.
+// logs, in ranked-site order (with WithVantages and WithPersonas, one
+// ranked-order block per (vantage, persona) lane, vantage-major in
+// configuration order). It is a batch wrapper over the streaming core —
+// memory scales with the unit count, so prefer Run or Stream for large
+// workloads.
 func (p *Pipeline) Crawl(ctx context.Context) ([]VisitLog, error) {
 	if p.cfg.shardWorker != nil {
 		return p.crawlShardWorker(ctx)
@@ -593,31 +527,11 @@ func (p *Pipeline) Crawl(ctx context.Context) ([]VisitLog, error) {
 	if _, err := p.ensureJournal(); err != nil {
 		return nil, err
 	}
-	sites := crawler.SiteURLs(trancolist.Domains(p.SiteList()))
-	vs := p.Vantages()
-	if p.cfg.vantParallel && len(vs) > 1 {
-		opts := p.crawlOptions(Vantage{})
-		opts.Vantages = vs
-		res, err := crawler.Crawl(ctx, sites, opts)
-		if err != nil {
-			return nil, err
-		}
-		return res.Logs, nil
+	res, err := crawler.Crawl(ctx, crawler.SiteURLs(trancolist.Domains(p.SiteList())), p.crawlOptions())
+	if err != nil {
+		return nil, err
 	}
-	var all []VisitLog
-	per := len(sites) * p.unitsPerVantage()
-	for vi, v := range vs {
-		opts := p.crawlOptions(v)
-		if len(vs) > 1 {
-			offsetProgress(&opts, vi*per, len(vs)*per)
-		}
-		res, err := crawler.Crawl(ctx, sites, opts)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, res.Logs...)
-	}
-	return all, nil
+	return res.Logs, nil
 }
 
 // Run executes the full pipeline — crawl (§4) plus analysis (§4.4) — in

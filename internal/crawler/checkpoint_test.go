@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"cookieguard/internal/browser"
@@ -317,4 +318,48 @@ func TestCheckpointContinuousLaneResume(t *testing.T) {
 		t.Fatalf("resume: %v", err)
 	}
 	mustMatch(t, "continuous resume", want, recordMap(t, rres.Logs), wantSnap, ropts.Stats.Snapshot())
+}
+
+// TestVerifyUnitNamesDivergedField: a re-executed unit that differs
+// from its journaled record fails with ErrDiverged naming the first
+// differing field and both values.
+func TestVerifyUnitNamesDivergedField(t *testing.T) {
+	journaled := journal.Record{
+		Vantage: "eu-west", Persona: "accept", Site: 3, Pass: 1,
+		OK: false, Failure: "timeout", VirtualMs: 1200.5, ShedFetches: 2,
+		Hosts: []journal.HostCount{{Host: "a.com", Transient: 1}, {Host: "b.com", OK: 3}},
+	}
+	cases := []struct {
+		name   string
+		mutate func(*journal.Record)
+		want   string
+	}{
+		{"ok", func(r *journal.Record) { r.OK = true }, "ok: journaled false, re-executed true"},
+		{"requeue", func(r *journal.Record) { r.Requeue = true }, "requeue: journaled false, re-executed true"},
+		{"failure", func(r *journal.Record) { r.Failure = "" }, `failure: journaled "timeout", re-executed ""`},
+		{"virtual_ms", func(r *journal.Record) { r.VirtualMs = 1300 }, "virtual_ms: journaled 1200.5, re-executed 1300"},
+		{"shed_fetches", func(r *journal.Record) { r.ShedFetches = 0 }, "shed_fetches: journaled 2, re-executed 0"},
+		{"hosts length", func(r *journal.Record) { r.Hosts = r.Hosts[:1] }, "hosts length: journaled 2, re-executed 1"},
+		{"hosts element", func(r *journal.Record) {
+			r.Hosts = []journal.HostCount{r.Hosts[0], {Host: "b.com", OK: 2}}
+		}, "hosts[1]: journaled {Host:b.com Transient:0 OK:3}, re-executed {Host:b.com Transient:0 OK:2}"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fresh := journaled
+			fresh.Hosts = append([]journal.HostCount(nil), journaled.Hosts...)
+			tc.mutate(&fresh)
+			err := verifyUnit(&journaled, fresh)
+			if !errors.Is(err, journal.ErrDiverged) {
+				t.Fatalf("err = %v, want ErrDiverged", err)
+			}
+			want := "unit eu-west/accept site 3 pass 1 re-executed differently: " + tc.want
+			if !strings.HasSuffix(err.Error(), want) {
+				t.Fatalf("err = %q\nwant suffix %q", err, want)
+			}
+		})
+	}
+	if err := verifyUnit(&journaled, journaled); err != nil {
+		t.Fatalf("identical record rejected: %v", err)
+	}
 }

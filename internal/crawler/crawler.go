@@ -31,13 +31,13 @@
 // persona): Options.Vantages and Options.Personas cross into scheduling
 // lanes — one lane per (vantage, persona) cell — and every lane's
 // visits run through ONE worker pool. Each lane owns exactly the state
-// a standalone sequential crawl of its cell would own — its frontier,
+// a standalone one-lane crawl of its cell would own — its frontier,
 // its round-synchronous breaker with its own virtual clock, its
 // second-pass bookkeeping — and the lanes multiplex over the shared
 // workers, so one region's latency tail fills with another cell's
 // visits instead of idling the pool. Because a lane's rounds, gate
 // snapshots, and sorted folds are untouched by the other lanes, every
-// record is byte-identical to the one a sequential per-cell crawl
+// record is byte-identical to the one a one-lane crawl of its cell
 // emits, at any worker count and any lane interleaving; the effective
 // global fold order is (pass, site index, vantage, then persona), and
 // each lane's virtual clock still advances by its own rounds' mean
@@ -162,20 +162,16 @@ type Options struct {
 	// emitted. Per lane, like the breaker. The zero value (off)
 	// changes nothing.
 	SecondPass SecondPass
-	// Vantage, when set and not the default, crawls through
-	// Internet.From(*Vantage): the vantage's latency and fault models,
-	// with every emitted VisitLog tagged Vantage.Name. Nil or the
-	// zero Vantage crawls the fabric directly, byte-identical to before
-	// vantages existed. Ignored when Vantages is non-empty.
-	Vantage *netsim.Vantage
-	// Vantages, when non-empty, crawls every site from every listed
-	// vantage through one unified worker pool — one scheduling lane per
-	// vantage, each with its own frontier and breaker state, so records
-	// stay byte-identical to crawling the vantages sequentially while
-	// the pool stays busy across regions. Crawl returns the logs as
-	// consecutive per-vantage blocks in list order (lane-major); Stream
-	// interleaves them in completion order. Takes precedence over
-	// Vantage.
+	// Vantages crawls every site from every listed vantage through one
+	// worker pool — one scheduling lane per vantage, each with its own
+	// frontier and breaker state, so a vantage's records are
+	// byte-identical to crawling that vantage alone while the pool stays
+	// busy across regions. A non-default vantage crawls through
+	// Internet.From(v) (its latency and fault models) and tags every
+	// emitted VisitLog with v.Name; the zero Vantage crawls the fabric
+	// directly. Crawl returns the logs as consecutive per-vantage blocks
+	// in list order (lane-major); Stream interleaves them in completion
+	// order. Empty means the single default vantage.
 	Vantages []netsim.Vantage
 	// Personas, when non-empty, crawls every (site, vantage) pair once
 	// per listed persona, extending the crawl plan to units of (site,
@@ -281,7 +277,7 @@ type indexedLog struct {
 }
 
 // laneState is one (vantage, persona) cell's scheduling lane. A lane
-// owns exactly the state a standalone sequential crawl of its cell
+// owns exactly the state a standalone one-lane crawl of its cell
 // would own — the frontier, the breaker accounting and virtual clock,
 // the pass map — so its shed decisions and emitted records cannot be
 // perturbed by the other lanes sharing the worker pool. All lane
@@ -447,18 +443,13 @@ func unitLabel(vantage, persona string) string {
 }
 
 // buildLanes resolves the crawl plan's (vantage, persona) cross product
-// into scheduling lanes, vantage-major. Options.Vantages wins over the
-// single (possibly default) Options.Vantage; an empty persona list
-// collapses to the implicit persona-free cell, preserving the
-// historical per-vantage behaviour byte for byte.
+// into scheduling lanes, vantage-major. An empty vantage list collapses
+// to the default vantage and an empty persona list to the implicit
+// persona-free cell, preserving the historical behaviour byte for byte.
 func buildLanes(sites []string, opts *Options) []*laneState {
 	vants := opts.Vantages
 	if len(vants) == 0 {
-		if opts.Vantage != nil {
-			vants = []netsim.Vantage{*opts.Vantage}
-		} else {
-			vants = []netsim.Vantage{{}}
-		}
+		vants = []netsim.Vantage{{}}
 	}
 	personas := opts.Personas
 	if len(personas) == 0 {
@@ -701,24 +692,42 @@ func journalUnit(opts *Options, j visitJob, l instrument.VisitLog, o visitOutcom
 // unit's fresh outcome must field-for-field match what the crashed run
 // journaled, or the journal belongs to a run whose behaviour differed
 // (changed code, different seed path, tampered file) and replaying its
-// siblings would silently diverge.
+// siblings would silently diverge. The error names the first differing
+// field with both values.
 func verifyUnit(prev *journal.Record, fresh journal.Record) error {
-	same := fresh.OK == prev.OK && fresh.Requeue == prev.Requeue &&
-		fresh.Failure == prev.Failure && fresh.VirtualMs == prev.VirtualMs &&
-		fresh.ShedFetches == prev.ShedFetches && len(fresh.Hosts) == len(prev.Hosts)
-	if same {
-		for i, h := range fresh.Hosts {
-			if h != prev.Hosts[i] {
-				same = false
-				break
-			}
-		}
-	}
-	if !same {
-		return fmt.Errorf("%w: unit %s/%s site %d pass %d re-executed differently",
-			journal.ErrDiverged, prev.Vantage, prev.Persona, prev.Site, prev.Pass)
+	if diff := recordDiff(prev, &fresh); diff != "" {
+		return fmt.Errorf("%w: unit %s/%s site %d pass %d re-executed differently: %s",
+			journal.ErrDiverged, prev.Vantage, prev.Persona, prev.Site, prev.Pass, diff)
 	}
 	return nil
+}
+
+// recordDiff describes the first scheduler-feedback field in which a
+// re-executed unit's record differs from its journaled one — e.g.
+// `failure: journaled "timeout", re-executed ""` — or returns "" when
+// they match.
+func recordDiff(prev, fresh *journal.Record) string {
+	const format = "%s: journaled %v, re-executed %v"
+	switch {
+	case fresh.OK != prev.OK:
+		return fmt.Sprintf(format, "ok", prev.OK, fresh.OK)
+	case fresh.Requeue != prev.Requeue:
+		return fmt.Sprintf(format, "requeue", prev.Requeue, fresh.Requeue)
+	case fresh.Failure != prev.Failure:
+		return fmt.Sprintf("failure: journaled %q, re-executed %q", prev.Failure, fresh.Failure)
+	case fresh.VirtualMs != prev.VirtualMs:
+		return fmt.Sprintf(format, "virtual_ms", prev.VirtualMs, fresh.VirtualMs)
+	case fresh.ShedFetches != prev.ShedFetches:
+		return fmt.Sprintf(format, "shed_fetches", prev.ShedFetches, fresh.ShedFetches)
+	case len(fresh.Hosts) != len(prev.Hosts):
+		return fmt.Sprintf(format, "hosts length", len(prev.Hosts), len(fresh.Hosts))
+	}
+	for i, h := range fresh.Hosts {
+		if h != prev.Hosts[i] {
+			return fmt.Sprintf("hosts[%d]: journaled %+v, re-executed %+v", i, prev.Hosts[i], h)
+		}
+	}
+	return ""
 }
 
 // laneSnapshot captures one lane's scheduler state for the journal:
@@ -898,7 +907,7 @@ func replayZero(abort context.CancelCauseFunc, ln *laneState, rec *journal.Recor
 // (dispatch phase or round barrier), and when no lane can move without
 // an outcome, it blocks on the shared feedback channel. Outcomes
 // always fold into their own lane, so lane state — and with it every
-// record — is exactly what a sequential per-vantage crawl would
+// record — is exactly what a one-lane crawl of that cell would
 // produce.
 type dispatcher struct {
 	ctx      context.Context
@@ -1078,7 +1087,7 @@ func (s *dispatcher) shed(ln *laneState, site, pass int, owned bool) bool {
 // lane; when a sweep makes no progress (every live lane is waiting on
 // outcomes), it blocks on feedback. A lane is done when a fresh round
 // (or pop attempt) finds its frontier empty with nothing pending —
-// exactly the sequential termination condition, evaluated per lane.
+// exactly a one-lane crawl's termination condition, evaluated per lane.
 func (s *dispatcher) run() {
 	for {
 		allDone, progressed := true, false
@@ -1286,8 +1295,8 @@ func Stream(ctx context.Context, sites []string, opts Options) (<-chan instrumen
 // the order of the input list; with Options.Vantages and/or
 // Options.Personas the result is the per-(vantage, persona) blocks
 // concatenated in lane order — vantage-major, personas in list order
-// within a vantage (exactly what sequential per-cell crawls would have
-// appended). It is a batch wrapper over the stream: it materializes
+// within a vantage (exactly what one-lane crawls of each cell would
+// have appended). It is a batch wrapper over the stream: it materializes
 // the whole result set, so memory scales with len(sites) × vantages ×
 // personas — use Stream for single-pass pipelines. The context cancels
 // outstanding visits; logs completed before cancellation are retained.
@@ -1320,8 +1329,8 @@ const passSeedSalt = 0xda942042e4dd58b5
 // bytes depend only on (url, seed, pass, vantage, persona, gate
 // snapshot) — the seed is salted by site index and pass, never by
 // vantage, persona, or lane, so the same crawl-plan unit reproduces
-// identically whether crawled sequentially or through the unified
-// pool; persona influences the bytes only through the consent click's
+// identically whether its lane is crawled alone or beside others;
+// persona influences the bytes only through the consent click's
 // page-level effects.
 func visit(url string, opts Options, maxClicks int, j visitJob) (l instrument.VisitLog, out visitOutcome) {
 	n := uint64(j.site)

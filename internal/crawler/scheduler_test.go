@@ -419,12 +419,11 @@ func TestVantageCrawlTagsRecords(t *testing.T) {
 	in := w.BuildInternet()
 	crawl := func(name string) map[string]float64 {
 		t.Helper()
-		v := netsim.Vantage{Name: name}
 		res, err := Crawl(context.Background(), sites, Options{
 			Internet: in,
 			Workers:  4,
 			Seed:     5,
-			Vantage:  &v,
+			Vantages: []netsim.Vantage{{Name: name}},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -459,10 +458,10 @@ func TestVantageCrawlTagsRecords(t *testing.T) {
 
 // vantageRecords crawls sites from every vantage and returns marshalled
 // records keyed by (site, vantage) plus the sched-stats snapshot.
-// parallel=true runs the unified Options.Vantages pool; false crawls
-// vantage by vantage over one fabric — the historical sequential mode
-// the unified scheduler must reproduce byte for byte.
-func vantageRecords(t *testing.T, w *webgen.Web, sites []string, vants []netsim.Vantage, parallel bool, faultRate float64, opts Options) (map[string]string, SchedSnapshot) {
+// multiLane=true runs all vantages as lanes of one crawl; false crawls
+// each vantage alone, as its own one-lane crawl over one fabric — the
+// reference every multi-lane crawl must reproduce byte for byte.
+func vantageRecords(t *testing.T, w *webgen.Web, sites []string, vants []netsim.Vantage, multiLane bool, faultRate float64, opts Options) (map[string]string, SchedSnapshot) {
 	t.Helper()
 	in := w.BuildInternet()
 	if faultRate > 0 {
@@ -486,7 +485,7 @@ func vantageRecords(t *testing.T, w *webgen.Web, sites []string, vants []netsim.
 			out[k] = string(b)
 		}
 	}
-	if parallel {
+	if multiLane {
 		o := opts
 		o.Vantages = vants
 		res, err := Crawl(context.Background(), sites, o)
@@ -497,8 +496,7 @@ func vantageRecords(t *testing.T, w *webgen.Web, sites []string, vants []netsim.
 	} else {
 		for _, v := range vants {
 			o := opts
-			vv := v
-			o.Vantage = &vv
+			o.Vantages = []netsim.Vantage{v}
 			res, err := Crawl(context.Background(), sites, o)
 			if err != nil {
 				t.Fatal(err)
@@ -523,27 +521,28 @@ func diffRecords(t *testing.T, want, got map[string]string, label string) {
 	}
 }
 
-// TestVantageParallelByteIdenticalToSequential: on a clean web, the
-// unified (site, vantage) scheduler emits records byte-identical to
-// crawling the vantages sequentially, at every worker count.
+// TestVantageParallelByteIdenticalToSequential: on a clean web, a
+// multi-vantage crawl emits records byte-identical to crawling each
+// vantage alone as a one-lane crawl, at every worker count.
 func TestVantageParallelByteIdenticalToSequential(t *testing.T) {
 	w, sites := buildSites(t, 40)
 	vants := []netsim.Vantage{{Name: "eu-west"}, {Name: "us-east"}}
 	opts := Options{Interact: true, Seed: 5, Workers: 5}
-	seq, _ := vantageRecords(t, w, sites, vants, false, 0, opts)
+	alone, _ := vantageRecords(t, w, sites, vants, false, 0, opts)
 	for _, workers := range []int{2, 7} {
 		o := opts
 		o.Workers = workers
-		par, _ := vantageRecords(t, w, sites, vants, true, 0, o)
-		diffRecords(t, seq, par, fmt.Sprintf("parallel@%dw vs sequential", workers))
+		multi, _ := vantageRecords(t, w, sites, vants, true, 0, o)
+		diffRecords(t, alone, multi, fmt.Sprintf("multi-lane@%dw vs one-lane", workers))
 	}
 }
 
 // TestVantageParallelFaultedByteStable: the full scheduler stack —
 // 10% faults, retries, per-lane breaker, second pass — stays
-// byte-identical between sequential and unified parallel mode across
-// worker counts, and the per-vantage SchedStats breakdown (every
-// breaker and second-pass decision) matches decision for decision.
+// byte-identical between one-lane crawls of each vantage and one
+// multi-vantage crawl across worker counts, and the per-vantage
+// SchedStats breakdown (every breaker and second-pass decision)
+// matches decision for decision.
 func TestVantageParallelFaultedByteStable(t *testing.T) {
 	w, sites := buildSites(t, 40)
 	vants := []netsim.Vantage{{Name: "eu-west"}, {Name: "us-east"}}
@@ -555,31 +554,31 @@ func TestVantageParallelFaultedByteStable(t *testing.T) {
 		SecondPass: SecondPass{Enabled: true},
 		Breaker:    Breaker{Enabled: true, RoundVisits: 8},
 	}
-	seq, seqStats := vantageRecords(t, w, sites, vants, false, 0.1, opts)
+	alone, aloneStats := vantageRecords(t, w, sites, vants, false, 0.1, opts)
 	for _, workers := range []int{2, 7} {
 		o := opts
 		o.Workers = workers
-		par, parStats := vantageRecords(t, w, sites, vants, true, 0.1, o)
-		diffRecords(t, seq, par, fmt.Sprintf("faulted parallel@%dw vs sequential", workers))
-		if !reflect.DeepEqual(seqStats, parStats) {
-			t.Fatalf("scheduler decisions differ between modes at %d workers:\nseq: %+v\npar: %+v", workers, seqStats, parStats)
+		multi, multiStats := vantageRecords(t, w, sites, vants, true, 0.1, o)
+		diffRecords(t, alone, multi, fmt.Sprintf("faulted multi-lane@%dw vs one-lane", workers))
+		if !reflect.DeepEqual(aloneStats, multiStats) {
+			t.Fatalf("scheduler decisions differ from one-lane crawls at %d workers:\none-lane: %+v\nmulti:    %+v", workers, aloneStats, multiStats)
 		}
 	}
-	if len(seqStats.Vantages) != 2 {
-		t.Fatalf("per-vantage breakdown has %d entries, want 2", len(seqStats.Vantages))
+	if len(aloneStats.Vantages) != 2 {
+		t.Fatalf("per-vantage breakdown has %d entries, want 2", len(aloneStats.Vantages))
 	}
 	var childVisits int64
-	for _, vs := range seqStats.Vantages {
+	for _, vs := range aloneStats.Vantages {
 		childVisits += vs.Visits
 	}
-	if childVisits != seqStats.Visits || seqStats.Visits == 0 {
-		t.Fatalf("per-vantage Visits sum %d != total %d", childVisits, seqStats.Visits)
+	if childVisits != aloneStats.Visits || aloneStats.Visits == 0 {
+		t.Fatalf("per-vantage Visits sum %d != total %d", childVisits, aloneStats.Visits)
 	}
 }
 
 // TestVantageParallelCrawlBlockOrder: Crawl with Options.Vantages
 // returns consecutive per-vantage blocks in list order — exactly the
-// concatenation sequential per-vantage crawls would produce.
+// concatenation of one-lane crawls of each vantage.
 func TestVantageParallelCrawlBlockOrder(t *testing.T) {
 	w, sites := buildSites(t, 15)
 	res, err := Crawl(context.Background(), sites, Options{
@@ -608,8 +607,8 @@ func TestVantageParallelCrawlBlockOrder(t *testing.T) {
 	}
 }
 
-// TestVantageParallelProgressMonotonic: in unified mode, Progress
-// reports one monotonically increasing done out of sites × vantages —
+// TestVantageParallelProgressMonotonic: a multi-vantage crawl's
+// Progress reports one monotonically increasing done out of sites × vantages —
 // no per-vantage restart.
 func TestVantageParallelProgressMonotonic(t *testing.T) {
 	w, sites := buildSites(t, 30)

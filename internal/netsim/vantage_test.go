@@ -137,7 +137,7 @@ func TestRegionSeed(t *testing.T) {
 	}
 }
 
-// TestVantageViewsConcurrentlyShareFabric: the unified cross-vantage
+// TestVantageViewsConcurrentlyShareFabric: the multi-vantage crawl
 // scheduler drives every vantage's view through one worker pool at
 // once, so views must be safely usable from concurrent goroutines over
 // the shared frozen fabric — and each view's observations must stay

@@ -76,10 +76,11 @@ func Hostname(rawURL string) string {
 }
 
 // fastHostname slices the host out of a plain absolute URL. ok is false
-// for any shape with userinfo, IPv6 literals, escapes, a non-numeric
-// port, characters url.Parse would reject, or no "//" authority — those
-// take the slow path, so the fast path never reports a host for a URL
-// the slow path would call unparsable.
+// for any shape with userinfo, IPv6 literals, escapes in the host, a
+// non-numeric port, characters url.Parse would reject anywhere in the
+// URL, or no "//" authority — those take the slow path, so the fast
+// path never reports a host for a URL the slow path would call
+// unparsable.
 func fastHostname(rawURL string) (string, bool) {
 	i := strings.Index(rawURL, "://")
 	if i <= 0 {
@@ -103,7 +104,7 @@ func fastHostname(rawURL string) (string, bool) {
 		}
 	}
 	host := rest[:end]
-	if host == "" {
+	if host == "" || !validTail(rest[end:]) {
 		return "", false
 	}
 	if k := strings.IndexByte(host, ':'); k >= 0 {
@@ -128,6 +129,33 @@ func fastHostname(rawURL string) (string, bool) {
 		}
 	}
 	return host, true
+}
+
+// validTail reports whether url.Parse accepts what follows a URL's
+// authority: it rejects control bytes and, outside the query (which it
+// keeps raw), any '%' that does not start a two-hex-digit escape.
+func validTail(tail string) bool {
+	const path, query, fragment = 0, 1, 2
+	part := path
+	for i := 0; i < len(tail); i++ {
+		switch c := tail[i]; {
+		case c < ' ' || c == 0x7f:
+			return false
+		case c == '?' && part == path:
+			part = query
+		case c == '#' && part != fragment:
+			part = fragment
+		case c == '%' && part != query:
+			if i+2 >= len(tail) || !isHex(tail[i+1]) || !isHex(tail[i+2]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func isHex(c byte) bool {
+	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
 }
 
 // RegistrableDomain returns the eTLD+1 of the host of a URL string, or ""

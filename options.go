@@ -30,7 +30,6 @@ type config struct {
 	breaker       Breaker
 	autopilot     bool
 	vantages      []Vantage
-	vantParallel  bool
 	personas      []string
 	cmp           bool
 	serveAddr     string
@@ -38,7 +37,6 @@ type config struct {
 	checkpointDir string
 	crashAfter    int
 	shards        int
-	shardDriver   ShardDriver
 	shardWorker   *shardWorkerCfg
 }
 
@@ -202,30 +200,20 @@ func WithBreakerAutopilot() Option {
 	return func(c *config) { c.autopilot = true }
 }
 
-// WithVantageParallel crawls all configured vantage points through one
-// unified worker pool instead of vantage by vantage: every (site,
-// vantage) pair flows through the same workers — one scheduling lane
-// per vantage, each with its own frontier and per-(host, vantage)
-// breaker state — so one region's latency tail is filled with another
-// region's visits instead of idling the pool. Records are
-// byte-identical to the sequential default (each lane folds its rounds
-// exactly as a standalone crawl would; enforced by tests across worker
-// counts and fault schedules); Stream interleaves vantages in
-// completion order, Crawl still returns per-vantage blocks in
-// configuration order, and Progress stays one monotonic count out of
-// sites × vantages. Off by default; a no-op with fewer than two
-// vantages.
-func WithVantageParallel(on bool) Option {
-	return func(c *config) { c.vantParallel = on }
-}
-
 // WithVantages crawls the pipeline's web from the given vantage points
 // — per-region latency models and fault rates over one frozen web and
 // one shared artifact cache. Stream/Crawl/Run visit every site once per
-// vantage (in the given order), each record tagged with its
-// VisitLog.Vantage, and Results.Vantages / Results.VantageTable()
-// compare the per-vantage failure counts and load-event latency tails
-// (the Figure 6 comparison across regions). No vantages (the default)
+// vantage, each record tagged with its VisitLog.Vantage, and
+// Results.Vantages / Results.VantageTable() compare the per-vantage
+// failure counts and load-event latency tails (the Figure 6 comparison
+// across regions). All vantages' visits share one worker pool — one
+// scheduling lane per vantage, each with its own frontier and
+// per-(host, vantage) breaker state — so one region's latency tail
+// fills with another region's visits; every vantage's records are
+// byte-identical to crawling that vantage alone, at any worker count.
+// Stream interleaves vantages in completion order, Crawl returns
+// per-vantage blocks in the given order, and Progress counts one
+// monotonic done out of sites × vantages. No vantages (the default)
 // crawls the fabric directly — byte-identical to before vantages
 // existed; a single default vantage is equivalent.
 func WithVantages(vs ...Vantage) Option {
@@ -244,8 +232,8 @@ func WithVantages(vs ...Vantage) Option {
 // and Results.Personas / Results.PersonaTable() compare retention and
 // exfiltration across consent states. Personas never salt the visit
 // seed — a persona's records differ from another's only through page
-// behaviour, and persona crawls stay byte-identical across runs, worker
-// counts, and scheduling modes. No personas (the default) crawls once,
+// behaviour, and persona crawls stay byte-identical across runs and
+// worker counts. No personas (the default) crawls once,
 // byte-identical to before personas existed.
 func WithPersonas(names ...string) Option {
 	return func(c *config) { c.personas = append(c.personas, names...) }
@@ -354,19 +342,6 @@ func WithCrashAfterUnits(n int) Option {
 // with zero fabric requests. n <= 1 (the default) crawls unsharded.
 func WithShards(n int) Option {
 	return func(c *config) { c.shards = n }
-}
-
-// WithShardDriver selects how WithShards executes its runners:
-// ShardInProcess (the default) drives n pipeline goroutine pools over
-// one frozen web and one shared artifact cache; ShardSubprocess is the
-// cmd/crawl protocol — one re-exec'd OS process per shard, each a
-// WithShardWorker pipeline journaling under its own checkpoint
-// subdirectory, siblings tailing each other's journals for foreign
-// feedback. The library's Pipeline methods reject ShardSubprocess
-// (process supervision belongs to cmd/crawl); both drivers produce
-// byte-identical output.
-func WithShardDriver(d ShardDriver) Option {
-	return func(c *config) { c.shardDriver = d }
 }
 
 // WithShardWorker marks this pipeline as shard index of count in a

@@ -25,19 +25,38 @@ const (
 // cmd/crawl -sort emits.
 func crawlDigest(t *testing.T, opts ...Option) string {
 	t.Helper()
-	p := New(opts...)
-	logs, errs := p.Stream(context.Background())
+	return unitsDigest(t, opts)
+}
+
+// unitsDigest is crawlDigest over the merged streams of several
+// pipelines, one per configuration.
+func unitsDigest(t *testing.T, configs ...[]Option) string {
+	t.Helper()
+	var all []VisitLog
+	for _, opts := range configs {
+		logs, errs := New(opts...).Stream(context.Background())
+		for l := range logs {
+			all = append(all, l)
+		}
+		if err := <-errs; err != nil {
+			t.Fatalf("stream: %v", err)
+		}
+	}
+	return sortedDigest(t, all)
+}
+
+// sortedDigest returns the sha256 over logs as (site, vantage,
+// persona)-sorted JSONL.
+func sortedDigest(t *testing.T, logs []VisitLog) string {
+	t.Helper()
 	type rec struct{ key, line string }
-	var recs []rec
-	for l := range logs {
+	recs := make([]rec, 0, len(logs))
+	for _, l := range logs {
 		b, err := json.Marshal(l)
 		if err != nil {
 			t.Fatalf("marshal: %v", err)
 		}
 		recs = append(recs, rec{key: l.Site + "\x00" + l.Vantage + "\x00" + l.Persona, line: string(b)})
-	}
-	if err := <-errs; err != nil {
-		t.Fatalf("stream: %v", err)
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].key < recs[j].key })
 	var sb strings.Builder
@@ -47,6 +66,27 @@ func crawlDigest(t *testing.T, opts ...Option) string {
 	}
 	sum := sha256.Sum256([]byte(sb.String()))
 	return hex.EncodeToString(sum[:])
+}
+
+// oneLaneConfigs splits a crawl plan into one configuration per
+// (vantage, persona) cell, each crawling its cell alone as a one-lane
+// crawl: the reference every multi-lane crawl must reproduce byte for
+// byte. No personas means the implicit persona-free cell.
+func oneLaneConfigs(base []Option, vants []Vantage, personas []string) [][]Option {
+	if len(personas) == 0 {
+		personas = []string{""}
+	}
+	var out [][]Option
+	for _, v := range vants {
+		for _, persona := range personas {
+			c := append(append([]Option(nil), base...), WithVantages(v))
+			if persona != "" {
+				c = append(c, WithPersonas(persona))
+			}
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 func cleanGoldenOpts() []Option {
@@ -66,25 +106,29 @@ func faultedGoldenOpts() []Option {
 		WithBreaker(Breaker{Enabled: true}),
 		WithBreakerAutopilot(),
 		WithVantages(RegionVantage("eu-west", 0.1, 7), RegionVantage("us-east", 0.1, 7)),
-		WithVantageParallel(true),
 	}
 }
 
-// personaOpts is the clean three-persona two-vantage configuration of
-// the byte-stability tests, parameterized on the scheduling knobs the
-// bytes must be independent of.
-func personaOpts(workers int, parallel bool) []Option {
+var personaNames = []string{"accept", "reject", "dismiss"}
+
+// personaVantages are the two regions of the persona byte-stability
+// tests, with region-seeded faults at rate.
+func personaVantages(rate float64) []Vantage {
+	return []Vantage{RegionVantage("eu-west", rate, 7), RegionVantage("us-east", rate, 7)}
+}
+
+// personaOpts is the clean persona configuration of the byte-stability
+// tests without its vantages and personas, parameterized on the worker
+// count the bytes must be independent of.
+func personaOpts(workers int) []Option {
 	return []Option{
 		WithSites(30), WithWorkers(workers), WithSeed(7), WithInteract(true),
-		WithVantages(RegionVantage("eu-west", 0, 7), RegionVantage("us-east", 0, 7)),
-		WithVantageParallel(parallel),
-		WithPersonas("accept", "reject", "dismiss"),
 	}
 }
 
-// personaFaultedOpts is the same persona axis under the full resilience
-// stack: 10% faults, retries, second pass, breaker with autopilot.
-func personaFaultedOpts(workers int, parallel bool) []Option {
+// personaFaultedOpts is the same under the full resilience stack: 10%
+// faults, retries, second pass, breaker with autopilot.
+func personaFaultedOpts(workers int) []Option {
 	rp := DefaultRetryPolicy()
 	rp.MaxAttempts = 2
 	return []Option{
@@ -94,34 +138,37 @@ func personaFaultedOpts(workers int, parallel bool) []Option {
 		WithSecondPass(true),
 		WithBreaker(Breaker{Enabled: true}),
 		WithBreakerAutopilot(),
-		WithVantages(RegionVantage("eu-west", 0.1, 7), RegionVantage("us-east", 0.1, 7)),
-		WithVantageParallel(parallel),
-		WithPersonas("accept", "reject", "dismiss"),
 	}
 }
 
 // TestPersonaCrawlByteStable pins the determinism contract on the new
 // axis: per-(site, vantage, persona) records are byte-identical across
-// runs, worker counts, and scheduling modes (sequential per-vantage vs
-// the unified pool), clean and under the full faulted resilience stack.
+// runs, worker counts, and lane sets (the two-vantage, three-persona
+// crawl vs each of its six cells crawled alone as a one-lane crawl),
+// clean and under the full faulted resilience stack.
 func TestPersonaCrawlByteStable(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		opts func(workers int, parallel bool) []Option
+		opts func(workers int) []Option
+		rate float64
 	}{
-		{"clean", personaOpts},
-		{"faulted", personaFaultedOpts},
+		{"clean", personaOpts, 0},
+		{"faulted", personaFaultedOpts, 0.1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			base := crawlDigest(t, tc.opts(4, false)...)
-			if got := crawlDigest(t, tc.opts(4, false)...); got != base {
+			vants := personaVantages(tc.rate)
+			full := func(workers int) []Option {
+				return append(tc.opts(workers), WithVantages(vants...), WithPersonas(personaNames...))
+			}
+			base := crawlDigest(t, full(4)...)
+			if got := crawlDigest(t, full(4)...); got != base {
 				t.Errorf("persona crawl not byte-stable across runs: %s vs %s", got, base)
 			}
-			if got := crawlDigest(t, tc.opts(1, false)...); got != base {
+			if got := crawlDigest(t, full(1)...); got != base {
 				t.Errorf("persona crawl depends on worker count: %s vs %s", got, base)
 			}
-			if got := crawlDigest(t, tc.opts(8, true)...); got != base {
-				t.Errorf("persona crawl depends on scheduling mode: %s vs %s", got, base)
+			if got := unitsDigest(t, oneLaneConfigs(tc.opts(8), vants, personaNames)...); got != base {
+				t.Errorf("persona crawl differs from one-lane crawls of its cells: %s vs %s", got, base)
 			}
 		})
 	}

@@ -6,6 +6,8 @@ package cookieguard
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"testing"
 )
@@ -130,98 +132,112 @@ func TestVantageStreamsAreDeterministic(t *testing.T) {
 	}
 }
 
-// TestVantageParallelPipelineEquivalence: WithVantageParallel is
-// semantically invisible at the public API — the unified pool emits
-// per-(site, vantage) records byte-identical to the sequential default,
-// with the full scheduler stack (region faults, retries, breaker,
-// second pass) enabled, across worker counts.
+// TestVantageParallelPipelineEquivalence: a multi-vantage crawl is
+// invisible at the public API — with the full scheduler stack (region
+// faults, retries, breaker, second pass) enabled, its per-(site,
+// vantage) records are byte-identical to crawling each vantage alone
+// as a one-lane crawl, across worker counts.
 func TestVantageParallelPipelineEquivalence(t *testing.T) {
 	base := []Option{
 		WithSites(25), WithInteract(true), WithSeed(3),
-		WithVantages(RegionVantage("eu-west", 0.1, 3), RegionVantage("us-east", 0.1, 3)),
 		WithRetryPolicy(RetryPolicy{MaxAttempts: 2}),
 		WithSecondPass(true),
 		WithBreaker(Breaker{Enabled: true, RoundVisits: 8}),
 	}
-	seq := crawlBySite(t, New(append(base, WithWorkers(6))...))
-	for _, workers := range []int{2, 7} {
-		par := crawlBySite(t, New(append(base,
-			WithWorkers(workers), WithVantageParallel(true))...))
-		if len(par) != len(seq) {
-			t.Fatalf("record counts differ at %d workers: %d vs %d", workers, len(par), len(seq))
+	vants := []Vantage{RegionVantage("eu-west", 0.1, 3), RegionVantage("us-east", 0.1, 3)}
+	alone := map[string]string{}
+	for _, cfg := range oneLaneConfigs(append(base, WithWorkers(6)), vants, nil) {
+		for k, rec := range crawlBySite(t, New(cfg...)) {
+			alone[k] = rec
 		}
-		for k, rec := range seq {
-			if par[k] != rec {
-				t.Fatalf("record %q differs between sequential and parallel vantage mode at %d workers:\nseq: %s\npar: %s",
-					k, workers, rec, par[k])
+	}
+	for _, workers := range []int{2, 7} {
+		multi := crawlBySite(t, New(append(base, WithWorkers(workers), WithVantages(vants...))...))
+		if len(multi) != len(alone) {
+			t.Fatalf("record counts differ at %d workers: %d vs %d", workers, len(multi), len(alone))
+		}
+		for k, rec := range alone {
+			if multi[k] != rec {
+				t.Fatalf("record %q differs between a one-lane crawl and the multi-vantage crawl at %d workers:\none-lane: %s\nmulti:    %s",
+					k, workers, rec, multi[k])
 			}
 		}
 	}
 }
 
-// TestVantageParallelRunResults: Run over the unified pool produces the
-// same analysis Results as the sequential default (the sharded
-// analyzer's canonical finalize is order-independent, so interleaved
-// vantage streams fold identically), and the per-vantage scheduler
-// breakdown reaches SchedStats.
+// TestVantageParallelRunResults: Run over a multi-vantage crawl
+// produces the same analysis Results as analysing the concatenated
+// logs of each vantage crawled alone (the analyzer's canonical
+// finalize is order-independent, so interleaved vantage streams fold
+// identically), and the per-vantage scheduler breakdown reaches
+// SchedStats with the one-lane crawls' counts.
 func TestVantageParallelRunResults(t *testing.T) {
-	opts := func(parallel bool) []Option {
-		return []Option{
-			WithSites(25), WithWorkers(6), WithInteract(true), WithSeed(3),
-			WithVantages(RegionVantage("eu-west", 0.1, 3), RegionVantage("us-east", 0.1, 3)),
-			WithRetryPolicy(RetryPolicy{MaxAttempts: 2}),
-			WithBreaker(Breaker{Enabled: true, RoundVisits: 8}),
-			WithVantageParallel(parallel),
-		}
+	base := []Option{
+		WithSites(25), WithInteract(true), WithSeed(3),
+		WithRetryPolicy(RetryPolicy{MaxAttempts: 2}),
+		WithBreaker(Breaker{Enabled: true, RoundVisits: 8}),
 	}
-	run := func(parallel bool) (*Results, SchedSnapshot) {
-		p := New(opts(parallel)...)
-		res, err := p.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, p.SchedStats()
-	}
-	seqRes, seqSched := run(false)
-	parRes, parSched := run(true)
-	a, err := seqRes.StableJSON()
+	vants := []Vantage{RegionVantage("eu-west", 0.1, 3), RegionVantage("us-east", 0.1, 3)}
+	p := New(append(base, WithWorkers(3), WithVantages(vants...))...)
+	multiRes, err := p.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := parRes.StableJSON()
+	multiSched := p.SchedStats()
+
+	var logs []VisitLog
+	aloneSched := map[string]SchedSnapshot{}
+	for i, cfg := range oneLaneConfigs(append(base, WithWorkers(6)), vants, nil) {
+		q := New(cfg...)
+		l, err := q.Crawl(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		logs = append(logs, l...)
+		aloneSched[vants[i].Name] = q.SchedStats()
+	}
+	a, err := p.Analyze(logs).StableJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := multiRes.StableJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(a) != string(b) {
-		t.Fatal("Results differ between sequential and parallel vantage mode")
+		t.Fatal("multi-vantage Results differ from the analysis of one-lane crawls")
 	}
-	for _, sched := range []SchedSnapshot{seqSched, parSched} {
-		if len(sched.Vantages) != 2 {
-			t.Fatalf("per-vantage sched breakdown has %d entries, want 2: %+v", len(sched.Vantages), sched)
+	if len(multiSched.Vantages) != 2 {
+		t.Fatalf("per-vantage sched breakdown has %d entries, want 2: %+v", len(multiSched.Vantages), multiSched)
+	}
+	var visits int64
+	for name, s := range aloneSched {
+		if got := multiSched.Vantages[name]; got.Visits != s.Visits || got.Opened != s.Opened || got.ShedFetches != s.ShedFetches {
+			t.Fatalf("vantage %s sched differs from its one-lane crawl:\nmulti:    %+v\none-lane: %+v", name, got, s)
 		}
+		visits += s.Visits
 	}
-	if seqSched.Visits != parSched.Visits || seqSched.Vantages["eu-west"].Visits != parSched.Vantages["eu-west"].Visits {
-		t.Fatalf("sched totals differ between modes:\nseq: %+v\npar: %+v", seqSched, parSched)
+	if multiSched.Visits != visits || visits == 0 {
+		t.Fatalf("multi-vantage sched visits %d, one-lane crawls %d", multiSched.Visits, visits)
 	}
 }
 
-// TestMultiVantageProgressMonotonic: WithProgress reports one monotonic
-// done out of sites × vantages in both sequential and parallel vantage
-// mode — the per-vantage restart is gone.
+// TestMultiVantageProgressMonotonic: WithProgress reports one
+// monotonic done out of sites × vantages at any worker count — no
+// per-vantage restart.
 func TestMultiVantageProgressMonotonic(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
+	for _, workers := range []int{1, 4} {
 		last := 0
 		p := New(
-			WithSites(15), WithWorkers(4), WithSeed(3),
+			WithSites(15), WithWorkers(workers), WithSeed(3),
 			WithVantages(RegionVantage("eu-west", 0, 0), RegionVantage("us-east", 0, 0)),
-			WithVantageParallel(parallel),
 			WithProgress(func(done, total int) {
 				// Serialized by the crawl's delivery lock.
 				if total != 30 {
-					t.Errorf("parallel=%v: total = %d, want 30", parallel, total)
+					t.Errorf("workers=%d: total = %d, want 30", workers, total)
 				}
 				if done != last+1 {
-					t.Errorf("parallel=%v: done jumped %d -> %d", parallel, last, done)
+					t.Errorf("workers=%d: done jumped %d -> %d", workers, last, done)
 				}
 				last = done
 			}),
@@ -230,7 +246,7 @@ func TestMultiVantageProgressMonotonic(t *testing.T) {
 			t.Fatal(err)
 		}
 		if last != 30 {
-			t.Fatalf("parallel=%v: final done = %d, want 30", parallel, last)
+			t.Fatalf("workers=%d: final done = %d, want 30", workers, last)
 		}
 	}
 }
@@ -263,5 +279,76 @@ func TestBreakerAutopilotOption(t *testing.T) {
 	}
 	if sa.Opened != sb.Opened || sa.Reopened != sb.Reopened || sa.ShedFetches != sb.ShedFetches {
 		t.Fatalf("autopilot transitions differ across worker counts:\n6w: %+v\n2w: %+v", sa, sb)
+	}
+}
+
+// Multi-vantage golden hashes pin the bytes multi-vantage crawls
+// emitted while vantages could still be scheduled one after another,
+// recorded from that sequential default: Results.StableJSON() of Run
+// and the (site, vantage, persona)-sorted JSONL of Crawl. Every crawl
+// now runs all vantages through one lane scheduler; each lane folds
+// its rounds exactly as a standalone crawl of its cell would, so these
+// must hold bit for bit.
+const (
+	multiVantageGoldenFaultedResults = "10b622ef558cc9699669beac8c07341c23a1f0c9af24812740e5790246ff700a"
+	multiVantageGoldenFaultedCrawl   = "1ea6814951c546c6689a55c1ab2a0cc2abf149aa0151ecd72ca88af2877df82d"
+	multiVantageGoldenCleanResults   = "bf76ea0ec78deeb4bd0e9715afcb38a89b258fbcb455d7c976974df93601bc86"
+	multiVantageGoldenCleanCrawl     = "715c7ce09ad9c04d98217a8df776751d5f38ed0799284e8a45acd6dc966140e4"
+)
+
+// sortedCrawlDigest returns the sha256 over Crawl's output as
+// (site, vantage, persona)-sorted JSONL.
+func sortedCrawlDigest(t *testing.T, opts ...Option) string {
+	t.Helper()
+	logs, err := New(opts...).Crawl(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sortedDigest(t, logs)
+}
+
+// resultsDigest returns the sha256 of Run's Results.StableJSON().
+func resultsDigest(t *testing.T, opts ...Option) string {
+	t.Helper()
+	res, err := New(opts...).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := res.StableJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+func TestMultiVantageGoldenHashes(t *testing.T) {
+	cases := []struct {
+		name, wantResults, wantCrawl string
+		opts                         []Option
+	}{
+		{"faulted-personas", multiVantageGoldenFaultedResults, multiVantageGoldenFaultedCrawl, []Option{
+			WithSites(30), WithWorkers(4), WithSeed(7), WithInteract(true),
+			WithVantages(RegionVantage("eu-west", 0.1, 7), RegionVantage("us-east", 0.1, 7)),
+			WithPersonas("accept", "reject"),
+			WithFaults(UniformFaults(0.1, 7)),
+			WithRetryPolicy(DefaultRetryPolicy()),
+			WithSecondPass(true),
+			WithBreakerAutopilot(),
+		}},
+		{"clean-three", multiVantageGoldenCleanResults, multiVantageGoldenCleanCrawl, []Option{
+			WithSites(30), WithWorkers(4), WithSeed(7), WithInteract(true),
+			WithVantages(RegionVantage("eu-west", 0, 7), RegionVantage("us-east", 0, 7), RegionVantage("ap-south", 0, 7)),
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := resultsDigest(t, tc.opts...); got != tc.wantResults {
+				t.Errorf("%s Results digest = %s, want golden %s", tc.name, got, tc.wantResults)
+			}
+			if got := sortedCrawlDigest(t, tc.opts...); got != tc.wantCrawl {
+				t.Errorf("%s crawl digest = %s, want golden %s", tc.name, got, tc.wantCrawl)
+			}
+		})
 	}
 }

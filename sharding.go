@@ -30,25 +30,6 @@ import (
 	"cookieguard/internal/trancolist"
 )
 
-// ShardDriver selects how a sharded crawl's runners execute
-// (WithShardDriver).
-type ShardDriver int
-
-const (
-	// ShardInProcess (the default) runs the N shard pipelines as
-	// goroutine pools inside this process, over one frozen web and one
-	// shared artifact cache, exchanging foreign-unit outcomes through
-	// memory.
-	ShardInProcess ShardDriver = iota
-	// ShardSubprocess re-execs one OS process per shard (cmd/crawl
-	// -shard i/N), supervised consul-agent style; each subprocess
-	// journals under its own checkpoint subdirectory and siblings tail
-	// each other's journals as the outcome exchange. The Pipeline
-	// methods reject this driver — process supervision belongs to
-	// cmd/crawl, which implements it over WithShardWorker.
-	ShardSubprocess
-)
-
 // shardWorkerCfg is the WithShardWorker state: this process is shard
 // index of count in a subprocess-driven crawl.
 type shardWorkerCfg struct {
@@ -60,10 +41,10 @@ type shardWorkerCfg struct {
 // adopted it after a failure), scheduler counters, and checkpoint
 // journal counters.
 type ShardLiveStats struct {
-	Shard    int           `json:"shard"`
-	State    string        `json:"state"`
-	Attempts int           `json:"attempts"`
-	Sched    SchedSnapshot `json:"sched"`
+	Shard      int           `json:"shard"`
+	State      string        `json:"state"`
+	Attempts   int           `json:"attempts"`
+	Sched      SchedSnapshot `json:"sched"`
 	Checkpoint *JournalStats `json:"checkpoint,omitempty"`
 }
 
@@ -86,20 +67,6 @@ type unitKey struct {
 // outcome exchange.
 func (p *Pipeline) shardFeedback() bool {
 	return p.cfg.breaker.Enabled || p.cfg.autopilot || p.cfg.secondPass
-}
-
-// shardCrawlOptions assembles the crawler options of one shard
-// pipeline: sharded crawls always run the unified multi-vantage
-// scheduler (byte-identical records to sequential per-vantage crawls),
-// because replication needs every lane's state machine in one
-// dispatcher.
-func (p *Pipeline) shardCrawlOptions(vs []Vantage) crawler.Options {
-	if len(vs) == 1 {
-		return p.crawlOptions(vs[0])
-	}
-	opts := p.crawlOptions(Vantage{})
-	opts.Vantages = vs
-	return opts
 }
 
 // shardDirName is the per-shard checkpoint subdirectory under the
@@ -134,7 +101,7 @@ func (p *Pipeline) shardWorkerOptions() (crawler.Options, error) {
 	if w.count < 1 || w.index < 0 || w.index >= w.count {
 		return crawler.Options{}, fmt.Errorf("cookieguard: shard worker %d/%d out of range", w.index, w.count)
 	}
-	opts := p.shardCrawlOptions(p.Vantages())
+	opts := p.crawlOptions()
 	sites := crawler.SiteURLs(trancolist.Domains(p.SiteList()))
 	assign := shard.Assign(sites, w.count, p.cfg.seed)
 	plan := &crawler.ShardPlan{Index: w.index, Count: w.count, Owned: shard.Owned(assign, w.count)[w.index]}
@@ -255,9 +222,6 @@ func (p *Pipeline) crawlSharded(ctx context.Context) ([]VisitLog, error) {
 // identical, so first-wins), and drives the pipeline-wide progress
 // callbacks. emit receives each unit's log exactly once.
 func (p *Pipeline) runShardedCrawl(ctx context.Context, emit func(VisitLog)) error {
-	if p.cfg.shardDriver == ShardSubprocess {
-		return errors.New("cookieguard: the subprocess shard driver is implemented by cmd/crawl (it re-execs one process per shard); Pipeline drives in-process shards only")
-	}
 	n := p.cfg.shards
 	sites := crawler.SiteURLs(trancolist.Domains(p.SiteList()))
 	vs := p.Vantages()
@@ -306,7 +270,7 @@ func (p *Pipeline) runShardedCrawl(ctx context.Context, emit func(VisitLog)) err
 		p.shardLive[i].jnl = jnl
 		p.shardMu.Unlock()
 
-		opts := p.shardCrawlOptions(vs)
+		opts := p.crawlOptions()
 		opts.Stats = stats
 		opts.Journal = jnl
 		opts.JournalLogs = jnl != nil

@@ -108,16 +108,6 @@ func TestShardedPurePartition(t *testing.T) {
 	}
 }
 
-// TestShardedSubprocessRejectedInProcess: the Pipeline refuses to
-// drive the subprocess shard driver itself — that protocol belongs to
-// cmd/crawl.
-func TestShardedSubprocessRejectedInProcess(t *testing.T) {
-	p := New(WithSites(4), WithShards(2), WithShardDriver(ShardSubprocess))
-	if _, err := p.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "cmd/crawl") {
-		t.Fatalf("want a cmd/crawl-pointing rejection, got %v", err)
-	}
-}
-
 // streamByUnit collects a pipeline's stream keyed by the full unit
 // coordinate (site, vantage, persona), failing on duplicates.
 func streamByUnit(t *testing.T, p *Pipeline) map[string]string {
